@@ -5,7 +5,6 @@
    Writes BENCH_dynamic.json; exits 1 when the flatness gate fails.
    Wired into `make bench-check` via `make dynamic-check`. *)
 
-module Dt = Sc_merkle.Dynamic_tree
 module Tree = Sc_merkle.Tree
 module Drbg = Sc_hash.Drbg
 
@@ -46,8 +45,8 @@ let () =
     List.map
       (fun n ->
         let t =
-          Dt.of_leaf_hashes
-            (List.init n (fun i -> Dt.leaf_hash (Printf.sprintf "blk-%d" i)))
+          Tree.of_leaf_hashes
+            (List.init n (fun i -> Tree.leaf_hash (Printf.sprintf "blk-%d" i)))
         in
         let indices = Array.init 256 (fun _ -> Drbg.uniform_int drbg n) in
         let pos = ref 0 in
@@ -56,16 +55,16 @@ let () =
           incr pos;
           i
         in
-        let fresh_leaf = Dt.leaf_hash "fresh" in
+        let fresh_leaf = Tree.leaf_hash "fresh" in
         let modify_ns =
-          time_ns (fun () -> Dt.modify t (next_index ()) fresh_leaf)
+          time_ns (fun () -> Tree.modify t (next_index ()) fresh_leaf)
         in
-        let append_ns = time_ns (fun () -> Dt.append t fresh_leaf) in
+        let append_ns = time_ns (fun () -> Tree.append t fresh_leaf) in
         let proof_verify_ns =
           time_ns (fun () ->
               let i = next_index () in
-              let p = Dt.proof t i in
-              assert (Dt.verify ~root:(Dt.root t) ~leaf_hash:(Dt.leaf t i) p))
+              let p = Tree.proof t i in
+              assert (Tree.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t i) p))
         in
         (* The O(n) cost an update used to pay: rebuild from every
            leaf hash.  Only timed at the small sizes — that it is
@@ -73,8 +72,8 @@ let () =
         let rebuild_ns =
           if n > small * 8 then None
           else
-            let hashes = Dt.leaf_hashes t in
-            Some (time_ns ~iters:5 (fun () -> Tree.build_of_hashes hashes))
+            let hashes = Tree.leaf_hashes t in
+            Some (time_ns ~iters:5 (fun () -> Tree.of_leaf_hashes hashes))
         in
         (n, modify_ns, append_ns, proof_verify_ns, rebuild_ns))
       sizes

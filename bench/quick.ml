@@ -1,7 +1,7 @@
 (* Quick, machine-readable perf tracking: times the pairing hot path
    and writes BENCH_pairing.json (ns/op per benchmark) so the perf
-   trajectory is comparable across PRs.  Much faster than the full
-   bechamel run in main.ml — wired into `make bench-check`. *)
+   trajectory is comparable across PRs.  Wired into
+   `make bench-check`. *)
 
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
@@ -230,10 +230,10 @@ let () =
 
 (* --- Domain-pool fan-out: 1 domain vs N ------------------------------
 
-   Times the three rewired hot paths at both domain counts and — the
-   part `make bench-check` actually gates on — verifies the results
-   are value-identical, so parallelism can never change a root, a
-   verdict or a Monte-Carlo outcome. *)
+   Times a Merkle build, a batched audit and a Monte-Carlo campaign at
+   both domain counts and — the part `make bench-check` actually gates
+   on — verifies the results are value-identical, so parallelism can
+   never change a root, a verdict or a Monte-Carlo outcome. *)
 
 module Merkle = Sc_merkle.Tree
 module Mc = Sc_sim.Montecarlo

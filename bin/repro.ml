@@ -697,7 +697,20 @@ let costs preset =
   Printf.printf
     "\n(measured on this build: the multi-pairing rewrite folds the paper's \
      2-pairing equations\n into one shared-Miller evaluation, so measured \
-     counts undercut the predictions)\n"
+     counts undercut the predictions)\n";
+  (* A rank proof adds a u32 total and a u32 sibling rank per path step
+     to the index-and-siblings path the paper describes. *)
+  let rank_bytes =
+    List.fold_left
+      (fun acc (r : Sc_compute.Executor.response) ->
+        acc + 4 + (4 * List.length r.Sc_compute.Executor.proof.Sc_merkle.Tree.path))
+      0 job.Sc_audit.Batch.responses
+  in
+  Printf.printf
+    "(Algorithm 1 wire B includes %d B of rank-proof annotations: a 4 B \
+     total per sampled response and a 4 B\n sibling rank per path step, \
+     binding each proof to its sampled index and to n_tasks)\n"
+    rank_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)

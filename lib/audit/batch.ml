@@ -1,8 +1,6 @@
 module Ibs = Sc_ibc.Ibs
 module Agg = Sc_ibc.Agg
-module Merkle = Sc_merkle.Tree
 module Executor = Sc_compute.Executor
-module Task = Sc_compute.Task
 module Signer = Sc_storage.Signer
 module Block = Sc_storage.Block
 module Telemetry = Sc_telemetry.Telemetry
@@ -16,37 +14,6 @@ type job = {
   challenge : Protocol.challenge;
   responses : Executor.response list;
 }
-
-(* Non-signature checks for one response (recompute + root + position
-   claim); signature material is returned for aggregation. *)
-let non_signature_checks job (resp : Executor.response) =
-  let i = resp.Executor.task_index in
-  let failures = ref [] in
-  let entry = ref None in
-  (match resp.Executor.read with
-  | None -> failures := Protocol.Signature_wrong i :: !failures
-  | Some { Sc_storage.Server.claimed; signed } ->
-    (match Task.eval resp.Executor.request.Task.func claimed with
-    | Some y when y = resp.Executor.result -> ()
-    | Some _ | None -> failures := Protocol.Computing_wrong i :: !failures);
-    if claimed.Block.index <> resp.Executor.request.Task.position
-    then failures := Protocol.Signature_wrong i :: !failures;
-    entry :=
-      Some
-        {
-          Agg.signer = job.owner;
-          msg = Block.signing_message claimed;
-          dvs = Signer.dvs_for `Da signed;
-        });
-  let leaf =
-    Executor.leaf_payload ~result:resp.Executor.result
-      ~position:resp.Executor.request.Task.position
-  in
-  if not
-       (Merkle.verify_proof ~root:job.commitment.Protocol.root
-          ~leaf_payload:leaf resp.Executor.proof)
-  then failures := Protocol.Root_wrong i :: !failures;
-  !failures, !entry
 
 let dvs_entry role job (resp : Executor.response) =
   match resp.Executor.read with
@@ -102,7 +69,9 @@ let verify_jobs pub ~verifier_key ~role jobs =
             match List.assoc_opt i by_index with
             | None -> [ Protocol.Missing_response i ], None
             | Some resp ->
-              let fs, _ = non_signature_checks job resp in
+              let fs =
+                Protocol.check_response job.commitment ~index:i resp
+              in
               let entry =
                 Option.map
                   (fun e -> job, resp, e)

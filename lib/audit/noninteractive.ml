@@ -71,50 +71,23 @@ let verify pub ~verifier_key ~role ~owner ~expected_epoch ~samples proof =
         failures = List.map (fun i -> Protocol.Missing_response i) indices;
       }
     else begin
-      (* Reuse Algorithm 1's verification with a synthetic challenge
-         carrying the derived indices; the warrant is not part of the
-         non-interactive flow, so verification goes through the
-         lower-level checks directly. *)
-      let run_algorithm1_checks () =
-        let failures = ref [] in
-        let fail f = failures := f :: !failures in
-        if not
-             (Sc_ibc.Ibs.verify pub ~signer:proof.commitment.Protocol.cs_id
-                ~msg:("root:" ^ proof.commitment.Protocol.root)
-                proof.commitment.Protocol.root_signature)
-        then fail Protocol.Root_signature_wrong;
-        List.iter
-          (fun (resp : Executor.response) ->
-            let i = resp.Executor.task_index in
-            (match resp.Executor.read with
-            | None -> fail (Protocol.Signature_wrong i)
-            | Some { Sc_storage.Server.claimed; signed } ->
-              if not
-                   (Sc_storage.Signer.verify_block pub ~verifier_key ~role
-                      ~owner claimed signed)
-              then fail (Protocol.Signature_wrong i);
-              (match
-                 Sc_compute.Task.eval resp.Executor.request.Sc_compute.Task.func
-                   claimed
-               with
-              | Some y when y = resp.Executor.result -> ()
-              | Some _ | None -> fail (Protocol.Computing_wrong i));
-              if
-                claimed.Sc_storage.Block.index
-                <> resp.Executor.request.Sc_compute.Task.position
-              then fail (Protocol.Signature_wrong i));
-            let leaf =
-              Executor.leaf_payload ~result:resp.Executor.result
-                ~position:resp.Executor.request.Sc_compute.Task.position
-            in
-            if not
-                 (Sc_merkle.Tree.verify_proof
-                    ~root:proof.commitment.Protocol.root ~leaf_payload:leaf
-                    resp.Executor.proof)
-            then fail (Protocol.Root_wrong i))
-          proof.responses;
-        { Protocol.valid = !failures = []; failures = List.rev !failures }
+      (* Algorithm 1 without a warrant: the root signature, then the
+         per-sample checks. *)
+      let root_failures =
+        if
+          Sc_ibc.Ibs.verify pub ~signer:proof.commitment.Protocol.cs_id
+            ~msg:("root:" ^ proof.commitment.Protocol.root)
+            proof.commitment.Protocol.root_signature
+        then []
+        else [ Protocol.Root_signature_wrong ]
       in
-      run_algorithm1_checks ()
+      let sample_failures (resp : Executor.response) =
+        Protocol.check_sample pub ~verifier_key ~role ~owner
+          ~commitment:proof.commitment ~index:resp.Executor.task_index resp
+      in
+      let failures =
+        root_failures @ List.concat_map sample_failures proof.responses
+      in
+      { Protocol.valid = failures = []; failures }
     end
   end

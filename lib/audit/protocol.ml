@@ -82,38 +82,56 @@ let respond pub ~now execution chal =
   if not (Warrant.verify pub ~now chal.warrant) then None
   else Some (List.map (Executor.respond execution) chal.sample_indices)
 
-(* The three per-sample checks of Algorithm 1. *)
-let check_sample pub ~verifier_key ~role ~owner ~commitment
-    (resp : Executor.response) =
-  let i = resp.Executor.task_index in
-  let failures = ref [] in
-  let fail f = failures := f :: !failures in
-  Telemetry.incr c_samples_checked;
-  (match resp.Executor.read with
-  | None -> fail (Signature_wrong i)
-  | Some { Sc_storage.Server.claimed; signed } ->
-    (* 1. IsSignatureWrong: the designated signature must cover the
-       claimed (file, position, data). *)
-    if not (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
-    then fail (Signature_wrong i);
-    (* 2. IsComputingWrong: recompute f_i on the claimed data. *)
-    Telemetry.incr c_blocks_recomputed;
-    (match Task.eval resp.Executor.request.Task.func claimed with
-    | Some y when y = resp.Executor.result -> ()
-    | Some _ | None -> fail (Computing_wrong i));
-    (* Consistency: the block must be claimed at the audited position. *)
-    if claimed.Sc_storage.Block.index <> resp.Executor.request.Task.position
-    then fail (Signature_wrong i));
-  (* 3. IsRootWrong: rebuild R* from the leaf and its siblings. *)
-  let leaf =
-    Executor.leaf_payload ~result:resp.Executor.result
-      ~position:resp.Executor.request.Task.position
+(* The non-signature part of Algorithm 1 for the response to sampled
+   index [index]: recompute y_i (IsComputingWrong), check that the
+   block is claimed at the requested position, and rebuild R*
+   (IsRootWrong).  The root check binds the proof to the sample: its
+   index must be [index] (as must the response's label) and its total
+   the committed task count, so another task's honest response cannot
+   be relabeled to answer this one. *)
+let check_response commitment ~index (resp : Executor.response) =
+  let request = resp.Executor.request in
+  let data_failures =
+    match resp.Executor.read with
+    | None -> [ Signature_wrong index ]
+    | Some { Sc_storage.Server.claimed; _ } ->
+      Telemetry.incr c_blocks_recomputed;
+      (match Task.eval request.Task.func claimed with
+      | Some y when y = resp.Executor.result -> []
+      | Some _ | None -> [ Computing_wrong index ])
+      @
+      if claimed.Sc_storage.Block.index <> request.Task.position then
+        [ Signature_wrong index ]
+      else []
   in
-  if not
-       (Merkle.verify_proof ~root:commitment.root ~leaf_payload:leaf
-          resp.Executor.proof)
-  then fail (Root_wrong i);
-  !failures
+  let proof = resp.Executor.proof in
+  let root_ok =
+    resp.Executor.task_index = index
+    && proof.Merkle.index = index
+    && proof.Merkle.total = commitment.n_tasks
+    && Merkle.verify_proof ~root:commitment.root
+         ~leaf_payload:
+           (Executor.leaf_payload ~result:resp.Executor.result
+              ~position:request.Task.position)
+         proof
+  in
+  if root_ok then data_failures else data_failures @ [ Root_wrong index ]
+
+(* Algorithm 1 on one sample: the designated signature must cover the
+   claimed (file, position, data) — IsSignatureWrong — then the
+   non-signature checks. *)
+let check_sample pub ~verifier_key ~role ~owner ~commitment ~index
+    (resp : Executor.response) =
+  Telemetry.incr c_samples_checked;
+  let signature_failures =
+    match resp.Executor.read with
+    | Some { Sc_storage.Server.claimed; signed }
+      when not (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
+      ->
+      [ Signature_wrong index ]
+    | Some _ | None -> []
+  in
+  signature_failures @ check_response commitment ~index resp
 
 let verify pub ~verifier_key ~role ~owner commitment chal responses =
   Telemetry.incr c_rounds;
@@ -144,7 +162,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
         match List.assoc_opt i by_index with
         | None -> [ Missing_response i ]
         | Some resp ->
-          check_sample pub ~verifier_key ~role ~owner ~commitment resp)
+          check_sample pub ~verifier_key ~role ~owner ~commitment ~index:i resp)
       chal.sample_indices
   in
   let failures = root_failures @ List.concat per_sample in

@@ -5,7 +5,8 @@
     it checks, in order:
     + the data signature (right data, right position — eq. 7),
     + the recomputation y_i = f_i(x_{p_i}),
-    + the Merkle root reconstructed from the sibling path,
+    + the Merkle root reconstructed from the sibling path, whose rank
+      proof must be for the sampled index among [n_tasks] leaves,
     and finally the server's signature on the committed root. *)
 
 type commitment = {
@@ -60,6 +61,29 @@ val respond :
   Sc_compute.Executor.response list option
 (** Server side: checks the warrant (expiry included) and returns the
     sampled responses; [None] when the warrant is rejected. *)
+
+val check_response :
+  commitment -> index:int -> Sc_compute.Executor.response -> failure list
+(** The non-signature checks of Algorithm 1 on the response to sampled
+    index [index], in order: the recomputation ([Computing_wrong]), the
+    position claim ([Signature_wrong]), and the root ([Root_wrong]).
+    The root check requires [task_index = proof.index = index],
+    [proof.total = n_tasks] and a proof that verifies against the
+    committed root.  A missing read is [Signature_wrong].  Shared by
+    {!check_sample} and {!Batch}. *)
+
+val check_sample :
+  Sc_ibc.Setup.public ->
+  verifier_key:Sc_ibc.Setup.identity_key ->
+  role:[ `Cs | `Da ] ->
+  owner:string ->
+  commitment:commitment ->
+  index:int ->
+  Sc_compute.Executor.response ->
+  failure list
+(** Algorithm 1 on one sample: the designated data signature
+    ([Signature_wrong]), then {!check_response}.  Used by {!verify} and
+    {!Noninteractive}. *)
 
 val verify :
   Sc_ibc.Setup.public ->

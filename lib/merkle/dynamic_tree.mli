@@ -1,132 +1,3 @@
-(** Persistent, path-copying, rank-annotated Merkle tree.
+(** Alias of {!Tree}, kept for the one caller that still names it. *)
 
-    Same leaf/node hashing and the same canonical shape as {!Tree}
-    (left child = largest power of two strictly below the leaf count),
-    so every reachable root is bit-identical to [Tree.build] over the
-    same leaf sequence — but mutations copy one path instead of
-    rebuilding every level:
-
-    - {!modify} and {!append} are O(log n) hashes, all untouched nodes
-      shared between versions;
-    - {!insert}/{!delete} at position [i] share every node covering
-      leaves left of [i] and rebuild the suffix whose pairing shifts:
-      O(log n) at the tail, O(n - i) in the middle (a lower bound for
-      any shape-canonical Merkle tree, since inserting shifts every
-      later pairing);
-    - {!proof}s carry sibling ranks, and {!verify} recomputes the
-      expected path geometry from the (signed) total and claimed
-      index, so position is bound as strongly as content — the data
-      dynamics of Wang-style public auditing (arXiv:1405.6263,
-      arXiv:1612.08029) on SecCloud's tree;
-    - {!apply} folds a batch of ops into one root transition, so a
-      client signs one root statement for k updates;
-    - {!Frontier} is the O(log n) owner-side digest state that makes
-      appends local (no fetch-all-leaf-hashes round trip). *)
-
-type t
-(** Immutable; every operation returns a new version sharing structure
-    with the old one. *)
-
-type side = L | R
-
-type proof = {
-  index : int;  (** claimed leaf position *)
-  total : int;  (** leaf count at proof time *)
-  path : (side * int * string) list;
-      (** bottom-up: sibling side, sibling rank (leaf count), sibling
-          hash *)
-}
-
-type op =
-  | Modify of { index : int; leaf : string }
-  | Insert of { index : int; leaf : string }
-  | Append of { leaf : string }
-  | Delete of { index : int }
-(** [leaf] fields are leaf {e hashes} (see {!Tree.leaf_hash}). *)
-
-val leaf_hash : string -> string
-(** = {!Tree.leaf_hash}. *)
-
-val build : string list -> t
-(** From leaf payloads. @raise Invalid_argument on the empty list. *)
-
-val of_leaf_hashes : string list -> t
-(** From precomputed leaf hashes.
-    @raise Invalid_argument on the empty list. *)
-
-val root : t -> string
-val size : t -> int
-
-val leaf : t -> int -> string
-(** Stored hash of leaf [i]. @raise Invalid_argument out of bounds. *)
-
-val leaf_hashes : t -> string list
-
-val modify : t -> int -> string -> t
-(** [modify t i h] replaces leaf [i]'s hash: O(log n).
-    @raise Invalid_argument out of bounds. *)
-
-val append : t -> string -> t
-(** Add a leaf hash at index [size t]: O(log n). *)
-
-val insert : t -> at:int -> string -> t
-(** Insert a leaf hash so it lands at index [at] (0 <= at <= size).
-    Shares the prefix; rebuilds the shifted suffix. *)
-
-val delete : t -> at:int -> t
-(** Structurally remove leaf [at] (later leaves shift down).
-    @raise Invalid_argument out of bounds or on a 1-leaf tree. *)
-
-val apply : t -> op list -> t
-(** Batched root transition: apply the ops in order, return the final
-    version — one signed root statement for k mutations. *)
-
-val proof : t -> int -> proof
-(** Rank-annotated authentication path: O(log n).
-    @raise Invalid_argument out of bounds. *)
-
-val root_of_proof : leaf_hash:string -> proof -> string
-(** Fold a (new) leaf hash through the path: the post-modify root. *)
-
-val check_geometry : proof -> bool
-(** Just the positional half of {!verify}: sides and sibling ranks
-    equal the canonical decomposition of [index] within [total]. *)
-
-val verify : root:string -> leaf_hash:string -> proof -> bool
-(** Checks the path geometry (sides and sibling ranks must equal the
-    canonical decomposition of [proof.index] within [proof.total] —
-    pure arithmetic, so a lying server cannot relocate a leaf) and the
-    hash chain against [root].  The caller is expected to have bound
-    [proof.total] to a signed count. *)
-
-val verify_payload : root:string -> leaf_payload:string -> proof -> bool
-
-val expected_geometry : total:int -> index:int -> (side * int) list
-(** The bottom-up sibling (side, rank) sequence the canonical shape
-    dictates for [index] among [total] leaves; exposed for tests. *)
-
-val equal_root : t -> t -> bool
-
-(** Owner-side append state: the <= log2(n)+1 perfect-subtree roots
-    named by the binary representation of the leaf count.  The
-    canonical root is their right-fold, so a client holding a frontier
-    can append and re-root locally — O(log n) state, zero server
-    round-trips. *)
-module Frontier : sig
-  type frontier = (int * string) list
-  (** (rank, hash) pairs, decreasing ranks. *)
-
-  val of_tree : t -> frontier
-  val total : frontier -> int
-
-  val root : frontier -> string
-  (** @raise Invalid_argument on the empty frontier. *)
-
-  val append : frontier -> string -> frontier
-  (** Binary-counter increment: O(1) amortized, O(log n) worst. *)
-
-  val modify : frontier -> proof -> leaf_hash:string -> frontier
-  (** Re-root after replacing the proved leaf: folds the in-block
-      prefix of the (already verified) path onto the one affected
-      frontier block. *)
-end
+include module type of struct include Tree end

@@ -1,10 +1,26 @@
-(* The tree is stored as levels of hash arrays: levels.(0) are leaf
-   hashes, the last level is the singleton root.  An odd node at the
-   end of a level is promoted to the next level unchanged. *)
+(* Persistent, path-copying, rank-annotated Merkle tree.
 
-type t = { levels : string array array }
-type side = L | R
-type proof = { leaf_index : int; path : (side * string) list }
+   Shape: an interior node over [n] leaves is (perfect left subtree of
+   [split n] leaves, rest), where [split n] is the largest power of two
+   strictly below [n].  Level by level this is plain pairwise hashing
+   with a trailing odd node promoted unchanged, so a single-leaf tree
+   has root = leaf hash.  Nodes are immutable, so
+
+   - [modify] / [append] copy one root-to-leaf path: O(log n) hashes,
+     everything else is shared between versions;
+   - every node carries its leaf count (rank, in the sense of the
+     Wang-style public-auditing data-dynamics line), and proofs export
+     the sibling ranks: because the shape is a function of the leaf
+     count alone, a verifier that knows the *signed* total recomputes
+     the expected turn directions and sibling sizes for a claimed index
+     and rejects any path whose geometry disagrees — position binding
+     without trusting the server's ranks. *)
+
+type node =
+  | Leaf of string
+  | Node of { h : string; n : int; l : node; r : node }
+
+type t = node
 
 module Telemetry = Sc_telemetry.Telemetry
 
@@ -12,89 +28,217 @@ let c_builds = Telemetry.counter "merkle.builds"
 let c_leaves = Telemetry.counter "merkle.leaves_built"
 let c_proofs = Telemetry.counter "merkle.proofs_issued"
 let c_proof_checks = Telemetry.counter "merkle.proof_checks"
+let c_modify = Telemetry.counter "merkle.dynamic.update"
+let c_append = Telemetry.counter "merkle.dynamic.append"
 
 let leaf_hash payload = Sc_hash.Sha256.digest_concat [ "leaf:"; payload ]
 let node_hash left right = Sc_hash.Sha256.digest_concat [ "node:"; left; right ]
+let size = function Leaf _ -> 1 | Node { n; _ } -> n
+let hash = function Leaf h -> h | Node { h; _ } -> h
+let root = hash
 
-(* Each level's parents only read the (frozen) level below, so level
-   construction fans out over the domain pool in disjoint index
-   ranges; small levels stay inline under the chunk floor.  The
-   resulting hashes are identical at any domain count. *)
-let level_min_chunk = 256
+let mk l r =
+  Node { h = node_hash (hash l) (hash r); n = size l + size r; l; r }
 
-let build_levels leaf_hashes =
-  let rec up acc level =
-    if Array.length level <= 1 then List.rev (level :: acc)
-    else begin
-      let n = Array.length level in
-      let parent = Array.make ((n + 1) / 2) "" in
-      Sc_parallel.iter_ranges ~min_chunk:level_min_chunk (n / 2)
-        (fun lo hi ->
-          for i = lo to hi - 1 do
-            parent.(i) <- node_hash level.(2 * i) level.((2 * i) + 1)
-          done);
-      if n land 1 = 1 then parent.((n - 1) / 2) <- level.(n - 1);
-      up (level :: acc) parent
-    end
-  in
-  Array.of_list (up [] leaf_hashes)
+(* Largest power of two strictly below [n] (n >= 2): the canonical
+   left-subtree span. *)
+let split n =
+  let rec go p = if p * 2 < n then go (p * 2) else p in
+  go 1
 
-let build_of_hashes hashes =
+let is_pow2 n = n land (n - 1) = 0
+
+let rec build_range arr lo n =
+  if n = 1 then Leaf arr.(lo)
+  else
+    let s = split n in
+    mk (build_range arr lo s) (build_range arr (lo + s) (n - s))
+
+let of_leaf_hashes hashes =
   if hashes = [] then invalid_arg "Merkle.build: empty leaf list";
-  Telemetry.incr c_builds;
-  Telemetry.add c_leaves (List.length hashes);
-  Telemetry.with_span ~name:"merkle.build"
-    ~attrs:[ "leaves", string_of_int (List.length hashes) ]
-    (fun () -> { levels = build_levels (Array.of_list hashes) })
+  let arr = Array.of_list hashes in
+  build_range arr 0 (Array.length arr)
 
 let build payloads =
-  build_of_hashes
-    (Sc_parallel.parallel_map ~min_chunk:level_min_chunk leaf_hash payloads)
-let root t = t.levels.(Array.length t.levels - 1).(0)
-let size t = Array.length t.levels.(0)
-let depth t = Array.length t.levels - 1
+  Telemetry.incr c_builds;
+  Telemetry.add c_leaves (List.length payloads);
+  Telemetry.with_span ~name:"merkle.build"
+    ~attrs:[ "leaves", string_of_int (List.length payloads) ]
+    (fun () -> of_leaf_hashes (List.map leaf_hash payloads))
+
+let rec leaf t i =
+  match t with
+  | Leaf h -> h
+  | Node { l; r; _ } ->
+    let sl = size l in
+    if i < sl then leaf l i else leaf r (i - sl)
 
 let leaf t i =
   if i < 0 || i >= size t then invalid_arg "Merkle.leaf: index out of bounds";
-  t.levels.(0).(i)
+  leaf t i
+
+let leaf_hashes t =
+  let rec go t acc = match t with
+    | Leaf h -> h :: acc
+    | Node { l; r; _ } -> go l (go r acc)
+  in
+  go t []
+
+(* --- O(log n) point operations ------------------------------------- *)
+
+let modify t i h =
+  if i < 0 || i >= size t then
+    invalid_arg "Merkle.modify: index out of bounds";
+  Telemetry.incr c_modify;
+  let rec go t i =
+    match t with
+    | Leaf _ -> Leaf h
+    | Node { l; r; _ } ->
+      let sl = size l in
+      if i < sl then mk (go l i) r else mk l (go r (i - sl))
+  in
+  go t i
+
+(* Canonical append: if [n] is a power of two the whole old tree
+   becomes the (perfect) left child; otherwise the left child is
+   untouched and the append recurses down the right spine. *)
+let append t h =
+  Telemetry.incr c_append;
+  let rec go t =
+    match t with
+    | Leaf _ -> mk t (Leaf h)
+    | Node { n; l; r; _ } -> if is_pow2 n then mk t (Leaf h) else mk l (go r)
+  in
+  go t
+
+(* --- rank proofs ---------------------------------------------------- *)
+
+type side = L | R
+
+(* Leaf-to-root path; each step names the sibling's side, its rank
+   (leaf count) and its hash.  [total] is the tree's leaf count at
+   proof time, so the proof claims a position *within a stated
+   population* — exactly what a signed root statement also binds. *)
+type proof = {
+  index : int;
+  total : int;
+  path : (side * int * string) list;
+}
 
 let proof t i =
   if i < 0 || i >= size t then invalid_arg "Merkle.proof: index out of bounds";
   Telemetry.incr c_proofs;
-  let rec collect level idx acc =
-    if level >= Array.length t.levels - 1 then List.rev acc
-    else begin
-      let nodes = t.levels.(level) in
-      let n = Array.length nodes in
-      let sibling =
-        if idx land 1 = 0 then if idx + 1 < n then Some (R, nodes.(idx + 1)) else None
-        else Some (L, nodes.(idx - 1))
-      in
-      let acc = match sibling with Some s -> s :: acc | None -> acc in
-      collect (level + 1) (idx / 2) acc
-    end
+  let rec go t i acc =
+    match t with
+    | Leaf _ -> acc
+    | Node { l; r; _ } ->
+      let sl = size l in
+      if i < sl then go l i ((R, size r, hash r) :: acc)
+      else go r (i - sl) ((L, sl, hash l) :: acc)
   in
-  { leaf_index = i; path = collect 0 i [] }
+  { index = i; total = size t; path = go t i [] }
 
-let fold_path ~leaf_hash:h path =
+(* Expected geometry of a canonical path for [index] within [total]
+   leaves, bottom-up like [proof.path]: the shape is a function of
+   [total] alone, so sides and sibling ranks are pure arithmetic — a
+   server cannot lie about a leaf's position without breaking the hash
+   chain. *)
+let expected_geometry ~total ~index =
+  let rec go n i acc =
+    if n = 1 then acc
+    else
+      let s = split n in
+      if i < s then go s i ((R, n - s) :: acc)
+      else go (n - s) (i - s) ((L, s) :: acc)
+  in
+  go total index []
+
+let root_of_proof ~leaf_hash p =
   List.fold_left
-    (fun acc (side, sib) ->
+    (fun acc (side, _, sib) ->
       match side with L -> node_hash sib acc | R -> node_hash acc sib)
-    h path
+    leaf_hash p.path
 
-let root_from_proof ~leaf_hash p = fold_path ~leaf_hash p.path
-
-let verify_proof_hash ~root ~leaf_hash p =
+let check_geometry p =
   Telemetry.incr c_proof_checks;
-  String.equal root (fold_path ~leaf_hash p.path)
+  p.total >= 1
+  && p.index >= 0
+  && p.index < p.total
+  &&
+  let geom = expected_geometry ~total:p.total ~index:p.index in
+  List.length geom = List.length p.path
+  && List.for_all2
+       (fun (side, rank) (side', rank', _) -> side = side' && rank = rank')
+       geom p.path
+
+let verify ~root:expected_root ~leaf_hash p =
+  check_geometry p
+  && String.equal expected_root (root_of_proof ~leaf_hash p)
 
 let verify_proof ~root ~leaf_payload p =
-  verify_proof_hash ~root ~leaf_hash:(leaf_hash leaf_payload) p
-
-let update_leaf t i payload =
-  if i < 0 || i >= size t then invalid_arg "Merkle.update_leaf: index out of bounds";
-  let leaves = Array.copy t.levels.(0) in
-  leaves.(i) <- leaf_hash payload;
-  { levels = build_levels leaves }
+  verify ~root ~leaf_hash:(leaf_hash leaf_payload) p
 
 let equal_root a b = String.equal (root a) (root b)
+
+(* --- append-only frontier ------------------------------------------- *)
+
+(* The canonical tree over [n] leaves is the right-fold of the perfect
+   subtrees named by the binary representation of [n] (decreasing
+   sizes).  A client that keeps just those <= log2(n)+1 (size, hash)
+   pairs — not the data, not the tree — can append locally and derive
+   every root on its own, with no fetch-all-leaf-hashes round trip. *)
+
+module Frontier = struct
+  (* Decreasing sizes; each a perfect subtree root. *)
+  type frontier = (int * string) list
+
+  let of_tree t =
+    let rec go t acc =
+      match t with
+      | Leaf h -> (1, h) :: acc
+      | Node { n; h; l; r; _ } ->
+        if is_pow2 n then (n, h) :: acc else go l (go r acc)
+    in
+    go t []
+
+  let total (f : frontier) = List.fold_left (fun acc (n, _) -> acc + n) 0 f
+
+  let root = function
+    | [] -> invalid_arg "Frontier.root: empty"
+    | f ->
+      let rec fold = function
+        | [ (_, h) ] -> h
+        | (_, h) :: rest -> node_hash h (fold rest)
+        | [] -> assert false
+      in
+      fold f
+
+  (* Binary-counter increment with carries on the right: O(log n)
+     hashes worst case, O(1) amortized. *)
+  let append (f : frontier) h =
+    let rec merge = function
+      | (n1, h1) :: (n2, h2) :: rest when n1 = n2 ->
+        merge ((n1 + n2, node_hash h2 h1) :: rest)
+      | f -> f
+    in
+    List.rev (merge ((1, h) :: List.rev f))
+
+  (* Fold a rank-proof path into the frontier: replacing the leaf at
+     [p.index] with [leaf_hash] updates exactly one frontier piece (the
+     binary-representation block containing the index); the first
+     log2(block) path steps stay inside it.  O(log n), no server data
+     beyond the already-verified proof. *)
+  let modify (f : frontier) (p : proof) ~leaf_hash =
+    let rec go acc before = function
+      | [] -> invalid_arg "Frontier.modify: index out of range"
+      | (n, h) :: rest ->
+        if p.index < before + n then begin
+          let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
+          let inner = List.filteri (fun i _ -> i < log2 n) p.path in
+          let h' = root_of_proof ~leaf_hash { p with path = inner } in
+          List.rev_append acc ((n, h') :: rest)
+        end
+        else go ((n, h) :: acc) (before + n) rest
+    in
+    go [] 0 f
+end

@@ -161,15 +161,18 @@ let r_request r =
   { Task.func; position }
 
 let w_proof b (p : Merkle.proof) =
-  Codec.w_u32 b p.Merkle.leaf_index;
+  Codec.w_u32 b p.Merkle.index;
+  Codec.w_u32 b p.Merkle.total;
   Codec.w_list b
-    (fun b (side, hash) ->
+    (fun b (side, rank, hash) ->
       Codec.w_u8 b (match side with Merkle.L -> 0 | Merkle.R -> 1);
+      Codec.w_u32 b rank;
       Codec.w_bytes b hash)
     p.Merkle.path
 
 let r_proof r =
-  let leaf_index = Codec.r_u32 r in
+  let index = Codec.r_u32 r in
+  let total = Codec.r_u32 r in
   let path =
     Codec.r_list r (fun r ->
         let side =
@@ -178,10 +181,11 @@ let r_proof r =
           | 1 -> Merkle.R
           | _ -> raise (Codec.Decode_error "invalid proof side")
         in
+        let rank = Codec.r_u32 r in
         let hash = Codec.r_bytes r in
-        side, hash)
+        side, rank, hash)
   in
-  { Merkle.leaf_index; path }
+  { Merkle.index; total; path }
 
 let w_warrant pub b (w : Warrant.signed) =
   Codec.w_bytes b w.Warrant.warrant.Warrant.delegator;

@@ -1,8 +1,8 @@
 module Setup = Sc_ibc.Setup
 module Ibs = Sc_ibc.Ibs
 module Dvs = Sc_ibc.Dvs
-module Dtree = Sc_merkle.Dynamic_tree
-module Frontier = Dtree.Frontier
+module Merkle = Sc_merkle.Tree
+module Frontier = Merkle.Frontier
 module Telemetry = Sc_telemetry.Telemetry
 
 (* Deletion is a *typed* leaf state, not a magic payload.  The old
@@ -52,7 +52,7 @@ type entry = {
 type server = {
   mutable s_entries : entry array;  (* capacity-doubling; s_count live *)
   mutable s_count : int;
-  mutable s_tree : Dtree.t;
+  mutable s_tree : Merkle.t;
   mutable s_lazy : bool;  (* simulated misbehaviour: skip tree writes *)
 }
 
@@ -76,7 +76,7 @@ type read_proof = {
   u : Sc_ec.Curve.point;
   sigma_cs : Sc_pairing.Tate.gt;
   sigma_da : Sc_pairing.Tate.gt;
-  proof : Dtree.proof;
+  proof : Merkle.proof;
 }
 
 let sign_entry client ~index ~version content =
@@ -93,7 +93,7 @@ let sign_entry client ~index ~version content =
   }
 
 let entry_leaf_hash ~index (e : entry) =
-  Dtree.leaf_hash (leaf_content_c ~index ~version:e.version e.content)
+  Merkle.leaf_hash (leaf_content_c ~index ~version:e.version e.content)
 
 let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
   if payloads = [] then invalid_arg "Dynamic.init: empty payload list";
@@ -116,7 +116,7 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
          payloads)
   in
   let tree =
-    Dtree.of_leaf_hashes
+    Merkle.of_leaf_hashes
       (Array.to_list (Array.mapi (fun i e -> entry_leaf_hash ~index:i e) entries))
   in
   let server =
@@ -128,7 +128,7 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
 
 let root client = Frontier.root client.c_frontier
 let count client = Frontier.total client.c_frontier
-let server_root server = Dtree.root server.s_tree
+let server_root server = Merkle.root server.s_tree
 let server_count server = server.s_count
 let make_lazy server = server.s_lazy <- true
 
@@ -143,16 +143,16 @@ let read server index =
         u = e.u;
         sigma_cs = e.sigma_cs;
         sigma_da = e.sigma_da;
-        proof = Dtree.proof server.s_tree index;
+        proof = Merkle.proof server.s_tree index;
       }
   end
 
 let verify_read client ~index (rp : read_proof) =
-  rp.proof.Dtree.index = index
-  && rp.proof.Dtree.total = count client
-  && Dtree.verify ~root:(root client)
+  rp.proof.Merkle.index = index
+  && rp.proof.Merkle.total = count client
+  && Merkle.verify ~root:(root client)
        ~leaf_hash:
-         (Dtree.leaf_hash
+         (Merkle.leaf_hash
             (leaf_content_c ~index ~version:rp.version rp.content))
        rp.proof
 
@@ -192,14 +192,14 @@ let write client server ~index content =
       let version = pre.version + 1 in
       let entry = sign_entry client ~index ~version content in
       let new_leaf =
-        Dtree.leaf_hash (leaf_content_c ~index ~version content)
+        Merkle.leaf_hash (leaf_content_c ~index ~version content)
       in
       (* New root from the *old* authentication path and the *new*
          leaf: O(log n) client-side work, no trust in the server. *)
-      let expected = Dtree.root_of_proof ~leaf_hash:new_leaf pre.proof in
+      let expected = Merkle.root_of_proof ~leaf_hash:new_leaf pre.proof in
       set_entry server index entry;
       if not server.s_lazy then
-        server.s_tree <- Dtree.modify server.s_tree index new_leaf;
+        server.s_tree <- Merkle.modify server.s_tree index new_leaf;
       client.c_frontier <-
         Frontier.modify client.c_frontier pre.proof ~leaf_hash:new_leaf;
       let server_now = server_root server in
@@ -231,7 +231,7 @@ let append client server payload =
     let leaf = entry_leaf_hash ~index entry in
     push_entry server entry;
     if not server.s_lazy then
-      server.s_tree <- Dtree.append server.s_tree leaf;
+      server.s_tree <- Merkle.append server.s_tree leaf;
     client.c_frontier <- Frontier.append client.c_frontier leaf;
     let expected = root client in
     let server_now = server_root server in
@@ -336,13 +336,13 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
                must match the canonical shape for that claim, and the
                fold must land on the published root. *)
             let path_ok =
-              rp.proof.Dtree.index = index
-              && rp.proof.Dtree.total = count
-              && Dtree.check_geometry rp.proof
+              rp.proof.Merkle.index = index
+              && rp.proof.Merkle.total = count
+              && Merkle.check_geometry rp.proof
               && String.equal
                    (Sc_hash.Sha256.hex_of_digest
-                      (Dtree.root_of_proof
-                         ~leaf_hash:(Dtree.leaf_hash leaf) rp.proof))
+                      (Merkle.root_of_proof
+                         ~leaf_hash:(Merkle.leaf_hash leaf) rp.proof))
                    root_hex
             in
             let msg =

@@ -4,7 +4,7 @@
     related work it builds on (Wang et al. [5], Erway et al. [15])
     adds *dynamics* via Merkle hash trees; this module provides that
     extension on top of {!Signer}/{!Server}, now backed by the
-    persistent {!Sc_merkle.Dynamic_tree}:
+    persistent {!Sc_merkle.Tree}:
 
     - the client (data owner) keeps only the O(log n) tree frontier
       and its keys — no block data, no full tree;
@@ -76,7 +76,7 @@ type read_proof = {
   u : Sc_ec.Curve.point;
   sigma_cs : Sc_pairing.Tate.gt;
   sigma_da : Sc_pairing.Tate.gt;
-  proof : Sc_merkle.Dynamic_tree.proof;
+  proof : Sc_merkle.Tree.proof;
 }
 
 val read : server -> int -> read_proof option

@@ -20,7 +20,8 @@ val buckets :
     [min_value .. max_value]. *)
 
 val default_bounds : unit -> float array
-(** Memoized [buckets ()] — the span-latency default. *)
+(** [buckets ()], computed once at module initialisation — the
+    span-latency default. *)
 
 val histogram : string -> Registry.histogram
 (** Find-or-create a registry histogram with {!default_bounds}. *)

@@ -580,7 +580,107 @@ let noninteractive_tests =
           ]);
   ]
 
+(* Each sampled proof is bound to the sampled index and to the
+   committed task count.  Both attacks below pass every other check of
+   Algorithm 1, so each verifier must blame them as [Root_wrong]. *)
+let binding_tests =
+  let open Util in
+  let module Ni = Sc_audit.Noninteractive in
+  let all = List.init 16 Fun.id in
+  (* Run all three verifiers on a cheating server that answers every
+     one of the 16 tasks with [respond i]; each must blame exactly
+     [Root_wrong i] for every [i] in [blamed]. *)
+  let check_all_verifiers commitment respond blamed =
+    let expect name (v : Protocol.verdict) =
+      check Alcotest.bool (name ^ ": invalid") false v.Protocol.valid;
+      check
+        Alcotest.(list int)
+        (name ^ ": Root_wrong per blamed sample")
+        (List.sort compare blamed)
+        (List.sort compare
+           (List.filter_map
+              (function Protocol.Root_wrong i -> Some i | _ -> None)
+              v.Protocol.failures))
+    in
+    let challenge = { Protocol.sample_indices = all; warrant = warrant () } in
+    let responses = List.map respond all in
+    expect "Protocol.verify"
+      (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+         commitment challenge responses);
+    expect "Batch.verify_jobs"
+      (Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
+         [ { Batch.owner = "alice"; commitment; challenge; responses } ]);
+    let indices =
+      Ni.derive_indices ~root:commitment.Protocol.root ~epoch:5 ~owner:"alice"
+        ~n_tasks:16 ~samples:16
+    in
+    expect "Noninteractive"
+      (Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+         ~expected_epoch:5 ~samples:16
+         { Ni.commitment; epoch = 5; responses = List.map respond indices })
+  in
+  [
+    case "relabeled honest response fails the root check" (fun () ->
+        (* Half the tasks commit a garbage leaf.  The server answers
+           each of those samples with an honest task's response,
+           relabeled with the sampled index: the data, signature,
+           recomputation and path are all genuine, but the path is for
+           another leaf. *)
+        let execution =
+          setup_execution ~behaviour:(Executor.Commit_garbage_fraction 0.5) ()
+        in
+        let commitment = Protocol.commitment_of_execution execution in
+        let honest i =
+          (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+             commitment
+             { Protocol.sample_indices = [ i ]; warrant = warrant () }
+             [ Executor.respond execution i ]).Protocol.valid
+        in
+        let bad, good = List.partition (fun i -> not (honest i)) all in
+        if bad = [] || good = [] then
+          Alcotest.fail "fixture needs both garbage and honest tasks";
+        let respond i =
+          if List.mem i good then Executor.respond execution i
+          else
+            {
+              (Executor.respond execution (List.hd good)) with
+              Executor.task_index = i;
+            }
+        in
+        check_all_verifiers commitment respond bad);
+    case "proof total differing from n_tasks fails the root check" (fun () ->
+        (* The server signs a root over its 16 results plus one extra
+           leaf and serves paths from that 17-leaf tree: every path
+           verifies against the signed root, but not for a commitment
+           to 16 tasks. *)
+        let execution = setup_execution () in
+        let leaves =
+          List.map2
+            (fun result (req : Task.request) ->
+              Executor.leaf_payload ~result ~position:req.Task.position)
+            (Array.to_list (Executor.results execution))
+            (Executor.service execution)
+        in
+        let tree = Sc_merkle.Tree.build (leaves @ [ "extra" ]) in
+        let root = Sc_merkle.Tree.root tree in
+        let commitment =
+          {
+            (Protocol.commitment_of_execution execution) with
+            Protocol.root;
+            root_signature =
+              Sc_ibc.Ibs.sign pub cs_key ~bytes_source:bs ("root:" ^ root);
+          }
+        in
+        let respond i =
+          {
+            (Executor.respond execution i) with
+            Executor.proof = Sc_merkle.Tree.proof tree i;
+          }
+        in
+        check_all_verifiers commitment respond all);
+  ]
+
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
   @ batch_blame_tests @ trust_tests
-  @ noninteractive_tests
+  @ noninteractive_tests @ binding_tests

@@ -6,7 +6,6 @@
    of the suite keeps its default behavior. *)
 
 module Telemetry = Sc_telemetry.Telemetry
-module Merkle = Sc_merkle.Tree
 module Mc = Sc_sim.Montecarlo
 
 let with_domains n f =
@@ -159,28 +158,6 @@ let telemetry_tests =
 let identity_tests =
   let open Util in
   [
-    case "Merkle.build roots identical at 1 and 4 domains" (fun () ->
-        let payloads = List.init 4096 (fun i -> "leaf-" ^ string_of_int i) in
-        let root_seq = with_domains 1 (fun () -> Merkle.root (Merkle.build payloads)) in
-        let root_par = with_domains 4 (fun () -> Merkle.root (Merkle.build payloads)) in
-        check Alcotest.string "same root" root_seq root_par);
-    case "Merkle.build telemetry ledger identical at 1 and 4 domains"
-      (fun () ->
-        let payloads = List.init 4096 (fun i -> "n" ^ string_of_int i) in
-        let counters_for d =
-          with_domains d (fun () ->
-              let h0 = Telemetry.counter_value "hash.sha256.digests" in
-              let b0 = Telemetry.counter_value "merkle.builds" in
-              let l0 = Telemetry.counter_value "merkle.leaves_built" in
-              ignore (Merkle.build payloads);
-              ( Telemetry.counter_value "hash.sha256.digests" - h0,
-                Telemetry.counter_value "merkle.builds" - b0,
-                Telemetry.counter_value "merkle.leaves_built" - l0 ))
-        in
-        let seq = counters_for 1 and par = counters_for 4 in
-        check
-          Alcotest.(triple int int int)
-          "same counter deltas" seq par);
     case "Monte-Carlo campaign identical at 1 and 4 domains" (fun () ->
         let run d =
           with_domains d (fun () ->
