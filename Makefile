@@ -1,7 +1,7 @@
 # Convenience entry points; everything is plain dune underneath.
 
 .PHONY: build test test-slow lint lint-fast bench-check \
-	metrics-check service-check dynamic-check repro clean
+	metrics-check service-check repro clean
 
 build:
 	dune build
@@ -32,26 +32,19 @@ test:
 test-slow:
 	env -u ALCOTEST_QUICK_TESTS dune exec test/test_main.exe
 
-# One command between you and a perf regression: build, run the suite
-# including the slow conformance cases, then the quick bench (writes
-# BENCH_pairing.json and BENCH_parallel.json — the latter exits
-# nonzero if N-domain results are not value-identical with 1-domain)
-# and the cost-invariant check.
+# One command between you and a perf regression: build, lint, run the
+# suite including the slow conformance cases (value identity at 1 and
+# N domains and O(log n) Merkle dynamics are tier-1 tests there), then
+# the per-layer and end-to-end benchmark (exits nonzero on any
+# ground-truth violation), the cost-invariant check and the service
+# soak.
 bench-check:
 	dune build
 	$(MAKE) lint
 	$(MAKE) test-slow
-	dune exec bench/quick.exe
-	$(MAKE) dynamic-check
+	python3 perfbench/run.py --workload all
 	$(MAKE) metrics-check
 	$(MAKE) service-check
-
-# Authenticated-dynamics flatness gate: per-update cost on the
-# persistent Merkle tree must stay within 2x as files grow 16k -> 1M
-# blocks (O(log n), not rebuild).  Writes BENCH_dynamic.json; exits 1
-# on regression.
-dynamic-check:
-	dune exec bench/dynamic.exe
 
 # The sharded multi-tenant service layer, end to end.  First a small
 # campaign re-run at two domain counts (--identity-check exits 1

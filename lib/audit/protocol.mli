@@ -70,20 +70,7 @@ val check_response :
     The root check requires [task_index = proof.index = index],
     [proof.total = n_tasks] and a proof that verifies against the
     committed root.  A missing read is [Signature_wrong].  Shared by
-    {!check_sample} and {!Batch}. *)
-
-val check_sample :
-  Sc_ibc.Setup.public ->
-  verifier_key:Sc_ibc.Setup.identity_key ->
-  role:[ `Cs | `Da ] ->
-  owner:string ->
-  commitment:commitment ->
-  index:int ->
-  Sc_compute.Executor.response ->
-  failure list
-(** Algorithm 1 on one sample: the designated data signature
-    ([Signature_wrong]), then {!check_response}.  Used by {!verify} and
-    {!Noninteractive}. *)
+    {!verify} and {!Batch}. *)
 
 val verify :
   Sc_ibc.Setup.public ->

@@ -505,90 +505,14 @@ let trust_tests =
           (Trust.should_drop t ~server:"fresh"));
   ]
 
-let noninteractive_tests =
-  let open Util in
-  let module Ni = Sc_audit.Noninteractive in
-  [
-    case "derived indices are deterministic, distinct and in range" (fun () ->
-        let a = Ni.derive_indices ~root:"r" ~epoch:3 ~owner:"alice" ~n_tasks:40 ~samples:12 in
-        let b = Ni.derive_indices ~root:"r" ~epoch:3 ~owner:"alice" ~n_tasks:40 ~samples:12 in
-        check Alcotest.(list int) "deterministic" a b;
-        check Alcotest.int "distinct" 12 (List.length (List.sort_uniq compare a));
-        check Alcotest.bool "in range" true (List.for_all (fun i -> i >= 0 && i < 40) a));
-    case "derived indices differ across roots, epochs and owners" (fun () ->
-        let base = Ni.derive_indices ~root:"r" ~epoch:1 ~owner:"a" ~n_tasks:1000 ~samples:8 in
-        check Alcotest.bool "root matters" false
-          (base = Ni.derive_indices ~root:"s" ~epoch:1 ~owner:"a" ~n_tasks:1000 ~samples:8);
-        check Alcotest.bool "epoch matters" false
-          (base = Ni.derive_indices ~root:"r" ~epoch:2 ~owner:"a" ~n_tasks:1000 ~samples:8);
-        check Alcotest.bool "owner matters" false
-          (base = Ni.derive_indices ~root:"r" ~epoch:1 ~owner:"b" ~n_tasks:1000 ~samples:8));
-    case "samples clamp to n_tasks" (fun () ->
-        check Alcotest.int "clamped" 5
-          (List.length (Ni.derive_indices ~root:"r" ~epoch:0 ~owner:"a" ~n_tasks:5 ~samples:50)));
-    case "honest non-interactive proof verifies" (fun () ->
-        let execution = setup_execution () in
-        let proof = Ni.prove pub ~owner:"alice" ~epoch:7 ~samples:8 execution in
-        let v =
-          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            ~expected_epoch:7 ~samples:8 proof
-        in
-        check Alcotest.bool "valid" true v.Protocol.valid);
-    case "stale epoch rejected (replay protection)" (fun () ->
-        let execution = setup_execution () in
-        let proof = Ni.prove pub ~owner:"alice" ~epoch:7 ~samples:6 execution in
-        let v =
-          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            ~expected_epoch:8 ~samples:6 proof
-        in
-        check Alcotest.bool "rejected" false v.Protocol.valid);
-    case "server cannot choose its own indices" (fun () ->
-        let execution = setup_execution () in
-        let honest = Ni.prove pub ~owner:"alice" ~epoch:1 ~samples:6 execution in
-        (* Hand-pick different (still-valid) responses: verification
-           must notice the index set mismatch. *)
-        let forged =
-          { honest with Ni.responses = List.map (Executor.respond execution) [0;1;2;3;4;5] }
-        in
-        let honest_indices =
-          List.sort compare
-            (List.map (fun (r : Executor.response) -> r.Executor.task_index)
-               honest.Ni.responses)
-        in
-        if honest_indices = [ 0; 1; 2; 3; 4; 5 ] then ()
-        else begin
-          let v =
-            Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-              ~expected_epoch:1 ~samples:6 forged
-          in
-          check Alcotest.bool "rejected" false v.Protocol.valid
-        end);
-    case "cheating executions fail the non-interactive audit" (fun () ->
-        List.iter
-          (fun behaviour ->
-            let execution = setup_execution ~behaviour () in
-            let proof = Ni.prove pub ~owner:"alice" ~epoch:2 ~samples:12 execution in
-            let v =
-              Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-                ~expected_epoch:2 ~samples:12 proof
-            in
-            check Alcotest.bool "caught" false v.Protocol.valid)
-          [
-            Executor.Guess_fraction (1.0, 1 lsl 30);
-            Executor.Wrong_position_fraction 1.0;
-            Executor.Commit_garbage_fraction 1.0;
-          ]);
-  ]
-
 (* Each sampled proof is bound to the sampled index and to the
    committed task count.  Both attacks below pass every other check of
    Algorithm 1, so each verifier must blame them as [Root_wrong]. *)
 let binding_tests =
   let open Util in
-  let module Ni = Sc_audit.Noninteractive in
   let all = List.init 16 Fun.id in
-  (* Run all three verifiers on a cheating server that answers every
-     one of the 16 tasks with [respond i]; each must blame exactly
+  (* Run both verifiers on a cheating server that answers every one of
+     the 16 tasks with [respond i]; each must blame exactly
      [Root_wrong i] for every [i] in [blamed]. *)
   let check_all_verifiers commitment respond blamed =
     let expect name (v : Protocol.verdict) =
@@ -609,15 +533,7 @@ let binding_tests =
          commitment challenge responses);
     expect "Batch.verify_jobs"
       (Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
-         [ { Batch.owner = "alice"; commitment; challenge; responses } ]);
-    let indices =
-      Ni.derive_indices ~root:commitment.Protocol.root ~epoch:5 ~owner:"alice"
-        ~n_tasks:16 ~samples:16
-    in
-    expect "Noninteractive"
-      (Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-         ~expected_epoch:5 ~samples:16
-         { Ni.commitment; epoch = 5; responses = List.map respond indices })
+         [ { Batch.owner = "alice"; commitment; challenge; responses } ])
   in
   [
     case "relabeled honest response fails the root check" (fun () ->
@@ -682,5 +598,4 @@ let binding_tests =
 
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
-  @ batch_blame_tests @ trust_tests
-  @ noninteractive_tests @ binding_tests
+  @ batch_blame_tests @ trust_tests @ binding_tests

@@ -234,6 +234,46 @@ let dynamic_unit_tests =
         let t2 = T.modify t1 2 (T.leaf_hash "y2") in
         let f2 = T.Frontier.modify f1 p ~leaf_hash:(T.leaf_hash "y2") in
         check Alcotest.string "modify root" (T.root t2) (T.Frontier.root f2));
+    case "dynamic ops cost at most ceil(log2 n) digests" (fun () ->
+        (* Counted, not timed.  The sizes are not powers of two: there
+           an append is one hash above the old root, and would pass
+           whatever the right-spine recursion costs. *)
+        let count () =
+          Sc_telemetry.Telemetry.counter_value "hash.sha256.digests"
+        in
+        let digests f =
+          let before = count () in
+          let v = f () in
+          v, count () - before
+        in
+        List.iter
+          (fun n ->
+            let t =
+              T.of_leaf_hashes
+                (List.init n (fun i -> T.leaf_hash (string_of_int i)))
+            in
+            let log2n =
+              let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
+              go 0 1
+            in
+            let at_most what cost =
+              if cost > log2n then
+                Alcotest.failf "n=%d %s: %d digests > %d" n what cost log2n
+            in
+            let fresh = T.leaf_hash "fresh" in
+            List.iter
+              (fun i ->
+                at_most "modify" (snd (digests (fun () -> T.modify t i fresh)));
+                let ok, cost =
+                  digests (fun () ->
+                      T.verify ~root:(T.root t) ~leaf_hash:(T.leaf t i)
+                        (T.proof t i))
+                in
+                if not ok then Alcotest.failf "n=%d index %d: rejected" n i;
+                at_most "proof+verify" cost)
+              [ 0; n / 2; n - 1 ];
+            at_most "append" (snd (digests (fun () -> T.append t fresh))))
+          [ 1027; 16387; 131077 ]);
   ]
 
 let dynamic_property_tests =

@@ -169,6 +169,96 @@ let identity_tests =
               r.Mc.survived)
         in
         check Alcotest.int "same survivals" (run 1) (run 4));
+    case "audit verdicts and counter ledger identical at 1 and 4 domains"
+      (fun () ->
+        let module Protocol = Sc_audit.Protocol in
+        let module Batch = Sc_audit.Batch in
+        let module Executor = Sc_compute.Executor in
+        (* The audit suite's fixture: 16 honest tasks over 20 blocks. *)
+        let pub = Test_audit.pub and da_key = Test_audit.da_key in
+        let make_job tag =
+          let execution = Test_audit.setup_execution () in
+          let commitment = Protocol.commitment_of_execution execution in
+          let challenge =
+            Protocol.make_challenge
+              ~drbg:(Sc_hash.Drbg.create ~seed:("par-chal:" ^ tag))
+              ~n_tasks:commitment.Protocol.n_tasks ~samples:8
+              ~warrant:(Test_audit.warrant ())
+          in
+          let responses =
+            Option.get (Protocol.respond pub ~now:1.0 execution challenge)
+          in
+          { Batch.owner = "alice"; commitment; challenge; responses }
+        in
+        let jobs = List.map make_job [ "a"; "b"; "c"; "d" ] in
+        (* Job "b" answers its first sample with corrupted data and
+           leaves its last unanswered: both fail, in challenge order. *)
+        let job_b = List.nth jobs 1 in
+        let samples = job_b.Batch.challenge.Protocol.sample_indices in
+        let corrupted = List.hd samples
+        and missing = List.nth samples (List.length samples - 1) in
+        let tamper (r : Executor.response) =
+          match r.Executor.read with
+          | _ when r.Executor.task_index = missing -> None
+          | Some read when r.Executor.task_index = corrupted ->
+            let claimed =
+              {
+                read.Sc_storage.Server.claimed with
+                Sc_storage.Block.data = Sc_storage.Block.encode_ints [ 99 ];
+              }
+            in
+            Some { r with Executor.read = Some { read with claimed } }
+          | Some _ | None -> Some r
+        in
+        let job_b =
+          {
+            job_b with
+            Batch.responses = List.filter_map tamper job_b.Batch.responses;
+          }
+        in
+        let jobs = List.mapi (fun j job -> if j = 1 then job_b else job) jobs in
+        let verdicts () =
+          List.map
+            (fun (job : Batch.job) ->
+              Protocol.verify pub ~verifier_key:da_key ~role:`Da
+                ~owner:job.Batch.owner job.Batch.commitment job.Batch.challenge
+                job.Batch.responses)
+            jobs
+          @ [ Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs ]
+        in
+        let show (v : Protocol.verdict) =
+          string_of_bool v.Protocol.valid
+          :: List.map (Format.asprintf "%a" Protocol.pp_failure)
+               v.Protocol.failures
+        in
+        let ledger_counters =
+          [
+            "audit.samples_checked";
+            "audit.blocks_recomputed";
+            "pairing.count";
+            "hash.sha256.digests";
+          ]
+        in
+        let run d =
+          with_domains d (fun () ->
+              let before = List.map Telemetry.counter_value ledger_counters in
+              let vs = List.map show (verdicts ()) in
+              ( vs,
+                List.map2
+                  (fun name v0 -> name, Telemetry.counter_value name - v0)
+                  ledger_counters before ))
+        in
+        let v1, l1 = run 1 in
+        let v4, l4 = run 4 in
+        let expected_failure f =
+          let shown = Format.asprintf "%a" Protocol.pp_failure f in
+          if not (List.mem shown (List.nth v1 1)) then
+            Alcotest.failf "job b lacks %s" shown
+        in
+        expected_failure (Protocol.Computing_wrong corrupted);
+        expected_failure (Protocol.Missing_response missing);
+        check Alcotest.(list (list string)) "verdicts" v1 v4;
+        check Alcotest.(list (pair string int)) "counter ledger" l1 l4);
   ]
 
 let suite = pool_tests @ telemetry_tests @ identity_tests
