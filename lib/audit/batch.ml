@@ -83,7 +83,7 @@ let verify_jobs pub ~verifier_key ~role jobs =
   in
   let flat = List.concat per_job in
   let check_failures = List.concat_map fst flat in
-  let entries = List.rev (List.filter_map snd flat) in
+  let entries = List.filter_map snd flat in
   (* One aggregate equation covers every sampled signature. *)
   let agg_entries = List.map (fun (_, _, e) -> e) entries in
   let blame_failures =

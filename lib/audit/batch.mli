@@ -21,7 +21,8 @@ val verify_jobs :
 (** One aggregated signature verification for the whole batch; Merkle
     and recomputation checks run per sample as in Algorithm 1.  When
     the aggregate rejects, the batch falls back to individual checks
-    to attribute blame, so the failure list still names indices. *)
+    to attribute blame, so the failure list still names indices, in
+    challenge order within each job as {!Protocol.verify} does. *)
 
 val flag_unresponsive :
   Protocol.verdict ->

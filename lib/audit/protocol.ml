@@ -120,14 +120,12 @@ let check_response commitment ~index (resp : Executor.response) =
 (* Algorithm 1 on one sample: the designated signature must cover the
    claimed (file, position, data) — IsSignatureWrong — then the
    non-signature checks. *)
-let check_sample pub ~verifier_key ~role ~owner ~commitment ~index
-    (resp : Executor.response) =
+let check_sample ~signature_ok ~commitment ~index (resp : Executor.response) =
   Telemetry.incr c_samples_checked;
   let signature_failures =
     match resp.Executor.read with
     | Some { Sc_storage.Server.claimed; signed }
-      when not (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
-      ->
+      when not (signature_ok claimed signed) ->
       [ Signature_wrong index ]
     | Some _ | None -> []
   in
@@ -152,6 +150,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
       (fun acc (r : Executor.response) -> (r.Executor.task_index, r) :: acc)
       [] responses
   in
+  let signature_ok = Signer.verifier pub ~verifier_key ~role ~owner in
   (* Per-sample recomputation and signature checks are independent:
      fan them out across the domain pool.  Failures keep the sample
      order of the challenge, so verdicts are identical at any domain
@@ -162,7 +161,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
         match List.assoc_opt i by_index with
         | None -> [ Missing_response i ]
         | Some resp ->
-          check_sample pub ~verifier_key ~role ~owner ~commitment ~index:i resp)
+          check_sample ~signature_ok ~commitment ~index:i resp)
       chal.sample_indices
   in
   let failures = root_failures @ List.concat per_sample in

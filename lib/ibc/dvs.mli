@@ -18,6 +18,29 @@ type t = { u : Curve.point; sigma : Sc_pairing.Tate.gt }
 val designate : Setup.public -> Ibs.t -> verifier:string -> t
 (** Transforms a raw signature for the given verifier identity. *)
 
+type table
+(** One signer's designation table for one verifier: the fixed-base
+    powers of ê(sk_ID, Q_B).  That element is the key the two
+    identities share, so a table is exactly as secret as sk_ID. *)
+
+val table : Setup.public -> Setup.identity_key -> verifier:string -> table
+(** Costs one H1, one pairing and about 1.4·|q| F_p² operations. *)
+
+val sigma : table -> Sc_bignum.Nat.t -> Sc_pairing.Tate.gt
+(** [sigma t k] is the designation ê(k·sk_ID, Q_B) of V = k·sk_ID,
+    bit for bit what {!designate} computes from V, without forming V
+    or running a pairing.  [k] must lie in [\[0, q)]. *)
+
+val verifier :
+  Setup.public ->
+  verifier_key:Setup.identity_key ->
+  signer:string ->
+  msg:string ->
+  t ->
+  bool
+(** {!verify} staged for many signatures of one signer: applied to
+    the keys and the signer it hashes H1(signer) once. *)
+
 val verify :
   Setup.public ->
   verifier_key:Setup.identity_key ->

@@ -18,14 +18,19 @@ let h2 (pub : Setup.public) ~u ~msg =
   Hash_g1.hash_to_scalar prm
     (Encode.canonical [ "ibs-h2"; Curve.to_bytes prm.curve u; msg ])
 
-let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
+(* Everything of a signature but V: U = r·Q_ID over the comb tables of
+   the public Q_ID, and the scalar k = (r + h) mod q with V = k·sk_ID. *)
+let commit (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
   Telemetry.incr c_sign;
   let prm = pub.prm in
   let r = Params.random_scalar prm ~bytes_source in
   let u = Curve.mul_precomp prm.curve (Params.precomp_for prm key.q_id) r in
   let h = h2 pub ~u ~msg in
-  let v = Curve.mul prm.curve (Nat.rem (Nat.add r h) prm.q) key.sk in
-  { u; v }
+  u, Nat.rem (Nat.add r h) prm.q
+
+let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
+  let u, k = commit pub key ~bytes_source msg in
+  { u; v = Curve.mul pub.prm.curve k key.sk }
 
 (* U + h·Q_ID, the G1 element both verification flavours pair against.
    Q_ID is a fixed base per identity, so h·Q_ID runs over the cached

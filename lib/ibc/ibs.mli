@@ -22,6 +22,17 @@ val sign :
   string ->
   t
 
+val commit :
+  Setup.public ->
+  Setup.identity_key ->
+  bytes_source:(int -> string) ->
+  string ->
+  Curve.point * Nat.t
+(** The first half of {!sign}, drawing the same nonce: [(U, k)] with
+    k = (r + h) mod q, so that V = k·sk_ID.  Counted as one signature
+    on [ibs.sign].  [k] is as secret as the nonce r: with U and the
+    message it gives r away. *)
+
 val verify : Setup.public -> signer:string -> msg:string -> t -> bool
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
     {!Sc_pairing.Tate.multi_pairing} — a single shared Miller loop

@@ -417,6 +417,55 @@ let pairing_affine prm p q =
     let f = miller_affine prm px py qx qy in
     if Fp2.is_zero f then gt_one else final_expo prm f
 
+(* --- Fixed-base powers in GT ---------------------------------------
+
+   A Lim–Lee comb with six teeth: the |q|-bit exponent is cut into six
+   strips of a = ⌈|q|/6⌉ bits, entries.(c) holds the product of
+   g^(2^(j·a)) over the set bits j of c, and g^k is a ladder of a − 1
+   squarings with one table multiplication per column — the column's
+   bits, one from each strip, index the entry.  At |q| = 112 that is
+   37 F_p² operations a power against about 170 for {!gt_pow}, from a
+   table of 63 entries: a wider one-row-per-window comb saves a few
+   operations a power but holds four times the entries, and a signer
+   builds two tables per file. *)
+let comb_teeth = 6
+
+type gt_table = { t_bits : int; cols : int; entries : F2M.e array }
+
+let gt_table (prm : Params.t) g =
+  let fp = prm.fp in
+  let t_bits = Nat.bit_length prm.q in
+  let cols = (t_bits + comb_teeth - 1) / comb_teeth in
+  let entries = Array.make (1 lsl comb_teeth) (F2M.one fp) in
+  let tooth = ref (F2M.enter fp g) in
+  for j = 0 to comb_teeth - 1 do
+    let top = 1 lsl j in
+    entries.(top) <- !tooth;
+    for c = 1 to top - 1 do
+      entries.(top lor c) <- F2M.mul fp entries.(c) !tooth
+    done;
+    if j < comb_teeth - 1 then
+      for _ = 1 to cols do
+        tooth := F2M.sqr fp !tooth
+      done
+  done;
+  { t_bits; cols; entries }
+
+let gt_pow_table (prm : Params.t) t k =
+  if Nat.bit_length k > t.t_bits then
+    invalid_arg "Tate.gt_pow_table: exponent exceeds the table's range";
+  let fp = prm.fp in
+  let acc = ref (F2M.one fp) in
+  for i = t.cols - 1 downto 0 do
+    if i < t.cols - 1 then acc := F2M.sqr fp !acc;
+    let c = ref 0 in
+    for j = comb_teeth - 1 downto 0 do
+      c := (!c lsl 1) lor Bool.to_int (Nat.test_bit k ((j * t.cols) + i))
+    done;
+    if !c <> 0 then acc := F2M.mul fp !acc t.entries.(!c)
+  done;
+  F2M.leave fp !acc
+
 let gt_to_bytes (prm : Params.t) (g : gt) =
   let n = (Nat.bit_length prm.p + 7) / 8 in
   Nat.to_bytes_be ~len:n (Fp.to_nat g.Fp2.re) ^ Nat.to_bytes_be ~len:n (Fp.to_nat g.Fp2.im)

@@ -81,6 +81,19 @@ val gt_inv : Params.t -> gt -> gt
 
 val gt_pow : Params.t -> gt -> Nat.t -> gt
 
+type gt_table
+(** Fixed-base power tables for one GT element: a six-tooth Lim–Lee
+    comb of 63 entries. *)
+
+val gt_table : Params.t -> gt -> gt_table
+(** Builds the tables with about 1.4·|q| F_p² operations. *)
+
+val gt_pow_table : Params.t -> gt_table -> Nat.t -> gt
+(** [gt_pow_table prm t k] is [gt_pow prm g k] for the table's base g,
+    bit for bit, at ⌈|q|/6⌉ − 1 squarings and at most ⌈|q|/6⌉
+    multiplications; [k = 0] gives {!gt_one}.
+    @raise Invalid_argument if [k] is wider than q. *)
+
 val pairings_performed : unit -> int
 (** Process-wide count of pairing evaluations — the evaluation section
     compares schemes by pairing counts, so the library keeps a tally.

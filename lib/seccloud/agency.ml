@@ -59,27 +59,28 @@ let report_of_checks checks =
     channel = None;
   }
 
+(* Each sampled read must claim its own position and carry the owner's
+   designated signature over it. *)
+let check_reads t ~owner reads =
+  let signature_ok =
+    Signer.verifier (System.public t.system)
+      ~verifier_key:(System.da_key t.system) ~role:`Da ~owner
+  in
+  List.map
+    (fun (i, read) ->
+      match read with
+      | None -> i, false
+      | Some { Server.claimed; signed } ->
+        i, claimed.Block.index = i && signature_ok claimed signed)
+    reads
+
 let audit_storage t cloud ~owner ~file ~samples =
-  let pub = System.public t.system in
-  let da_key = System.da_key t.system in
   match read_samples t cloud ~file ~samples with
   | None ->
     { sampled = 0; valid_blocks = 0; invalid_indices = []; intact = false;
       channel = None }
   | Some reads ->
-    let checks =
-      List.map
-        (fun (i, read) ->
-          match read with
-          | None -> i, false
-          | Some { Server.claimed; signed } ->
-            ( i,
-              claimed.Block.index = i
-              && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~owner
-                   claimed signed ))
-        reads
-    in
-    let report = report_of_checks checks in
+    let report = report_of_checks (check_reads t ~owner reads) in
     Log.info (fun m ->
         m "storage audit %s/%s: %d/%d valid, intact=%b" owner file
           report.valid_blocks report.sampled report.intact);
@@ -130,19 +131,7 @@ let audit_storage_batched t cloud ~owner ~file ~samples =
       }
     else begin
       (* Locate offenders individually. *)
-      let checks =
-        List.map
-          (fun (i, read) ->
-            match read with
-            | None -> i, false
-            | Some { Server.claimed; signed } ->
-              ( i,
-                claimed.Block.index = i
-                && Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                     ~owner claimed signed ))
-          reads
-      in
-      report_of_checks checks
+      report_of_checks (check_reads t ~owner reads)
     end
 
 let choose_sample_size ?(eps = 1e-4) ?(range = infinity) ~csc ~ssc () =

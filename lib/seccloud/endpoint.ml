@@ -95,6 +95,9 @@ module Da = struct
     with
     | Error e -> fail (Some e)
     | Ok (Wire.Storage_response items) ->
+      let signature_ok =
+        Sc_storage.Signer.verifier pub ~verifier_key:da_key ~role:`Da ~owner
+      in
       let checks =
         List.map
           (fun i ->
@@ -102,8 +105,7 @@ module Da = struct
             | Some (Some { Server_impl.claimed; signed }) ->
               ( i,
                 claimed.Sc_storage.Block.index = i
-                && Sc_storage.Signer.verify_block pub ~verifier_key:da_key
-                     ~role:`Da ~owner claimed signed )
+                && signature_ok claimed signed )
             | Some None | None -> i, false)
           indices
       in

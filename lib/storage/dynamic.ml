@@ -63,8 +63,8 @@ type server = {
 type client = {
   pub : Setup.public;
   key : Setup.identity_key;
-  cs_id : string;
-  da_id : string;
+  cs_table : Dvs.table;  (* the verifiers are fixed at [init] *)
+  da_table : Dvs.table;
   c_file : string;
   mutable c_frontier : Frontier.frontier;
   c_bytes : int -> string;
@@ -81,16 +81,11 @@ type read_proof = {
 
 let sign_entry client ~index ~version content =
   let msg = signing_message_c ~file:client.c_file ~index ~version content in
-  let raw = Ibs.sign client.pub client.key ~bytes_source:client.c_bytes msg in
-  let cs = Dvs.designate client.pub raw ~verifier:client.cs_id in
-  let da = Dvs.designate client.pub raw ~verifier:client.da_id in
-  {
-    content;
-    version;
-    u = raw.Ibs.u;
-    sigma_cs = cs.Dvs.sigma;
-    sigma_da = da.Dvs.sigma;
-  }
+  let u, sigma_cs, sigma_da =
+    Signer.sign_designated client.pub client.key ~bytes_source:client.c_bytes
+      ~cs:client.cs_table ~da:client.da_table msg
+  in
+  { content; version; u; sigma_cs; sigma_da }
 
 let entry_leaf_hash ~index (e : entry) =
   Merkle.leaf_hash (leaf_content_c ~index ~version:e.version e.content)
@@ -101,8 +96,8 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
     {
       pub;
       key;
-      cs_id;
-      da_id;
+      cs_table = Dvs.table pub key ~verifier:cs_id;
+      da_table = Dvs.table pub key ~verifier:da_id;
       c_file = file;
       c_frontier = [];
       c_bytes = bytes_source;
@@ -317,6 +312,7 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
       else if count > audit_count_cap || count > server.s_count then failure
       else begin
         let samples = min samples count in
+        let signature_ok = Dvs.verifier pub ~verifier_key ~signer:owner in
         let idx = Array.init count (fun i -> i) in
         for i = 0 to samples - 1 do
           let j = i + Sc_hash.Drbg.uniform_int drbg (count - i) in
@@ -348,9 +344,7 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
             let msg =
               signing_message_c ~file ~index ~version:rp.version rp.content
             in
-            path_ok
-            && Dvs.verify pub ~verifier_key ~signer:owner ~msg
-                 { Dvs.u = rp.u; sigma = rp.sigma_da }
+            path_ok && signature_ok ~msg { Dvs.u = rp.u; sigma = rp.sigma_da }
         in
         let results = List.init samples (fun i -> idx.(i), check idx.(i)) in
         let invalid =

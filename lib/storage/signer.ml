@@ -11,14 +11,22 @@ type signed_block = {
 
 type upload = { file : string; owner : string; blocks : signed_block array }
 
+let sign_designated pub key ~bytes_source ~cs ~da msg =
+  let u, k = Ibs.commit pub key ~bytes_source msg in
+  u, Dvs.sigma cs k, Dvs.sigma da k
+
+(* The tables pay for themselves from the second block on; every
+   upload the protocols make has more. *)
 let sign_file pub (key : Setup.identity_key) ~bytes_source ~cs_id ~da_id ~file
     payloads =
+  let cs = Dvs.table pub key ~verifier:cs_id in
+  let da = Dvs.table pub key ~verifier:da_id in
   let sign_one index data =
     let block = { Block.file; index; data } in
-    let raw = Ibs.sign pub key ~bytes_source (Block.signing_message block) in
-    let cs = Dvs.designate pub raw ~verifier:cs_id in
-    let da = Dvs.designate pub raw ~verifier:da_id in
-    { block; u = raw.Ibs.u; sigma_cs = cs.Dvs.sigma; sigma_da = da.Dvs.sigma }
+    let u, sigma_cs, sigma_da =
+      sign_designated pub key ~bytes_source ~cs ~da (Block.signing_message block)
+    in
+    { block; u; sigma_cs; sigma_da }
   in
   { file; owner = key.Setup.id; blocks = Array.of_list (List.mapi sign_one payloads) }
 
@@ -27,7 +35,10 @@ let dvs_for role sb =
   | `Cs -> { Dvs.u = sb.u; sigma = sb.sigma_cs }
   | `Da -> { Dvs.u = sb.u; sigma = sb.sigma_da }
 
+let verifier pub ~verifier_key ~role ~owner =
+  let check = Dvs.verifier pub ~verifier_key ~signer:owner in
+  fun claimed sb ->
+    check ~msg:(Block.signing_message claimed) (dvs_for role sb)
+
 let verify_block pub ~verifier_key ~role ~owner claimed sb =
-  Dvs.verify pub ~verifier_key ~signer:owner
-    ~msg:(Block.signing_message claimed)
-    (dvs_for role sb)
+  verifier pub ~verifier_key ~role ~owner claimed sb

@@ -355,6 +355,46 @@ let batch_tests =
             Executor.Wrong_position_fraction 1.0;
             Executor.Commit_garbage_fraction 1.0;
           ]);
+    case "blamed signatures keep the challenge order" (fun () ->
+        let execution = setup_execution () in
+        let commitment = Protocol.commitment_of_execution execution in
+        let challenge =
+          {
+            Protocol.sample_indices = [ 3; 15; 5; 7; 2; 1; 9 ];
+            warrant = warrant ();
+          }
+        in
+        let corrupted = [ 15; 7; 2; 9 ] in
+        let responses =
+          List.map
+            (fun (r : Executor.response) ->
+              if not (List.mem r.Executor.task_index corrupted) then r
+              else
+                let rr = Option.get r.Executor.read in
+                let signed =
+                  {
+                    rr.Server.signed with
+                    Sc_storage.Signer.sigma_da = Sc_pairing.Tate.gt_one;
+                  }
+                in
+                { r with Executor.read = Some { rr with Server.signed } })
+            (Option.get (Protocol.respond pub ~now:1.0 execution challenge))
+        in
+        let show v =
+          List.map (Format.asprintf "%a" Protocol.pp_failure) v.Protocol.failures
+        in
+        let expected =
+          List.map (fun i -> Format.asprintf "%a" Protocol.pp_failure
+                       (Protocol.Signature_wrong i)) corrupted
+        in
+        check Alcotest.(list string) "Protocol.verify" expected
+          (show
+             (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+                commitment challenge responses));
+        check Alcotest.(list string) "Batch.verify_jobs" expected
+          (show
+             (Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
+                [ { Batch.owner = "alice"; commitment; challenge; responses } ])));
   ]
 
 (* Properties: one tampered signature in a batch of t is always

@@ -342,6 +342,17 @@ let typed_secret_flow =
         \  match k with Setup.Sio s -> print_endline (Sha256.digest_hex s)\n");
     no_typed_findings "plain public strings do not taint"
       "let show s = print_endline s\n";
+    case "a designation table reaching telemetry is flagged" (fun () ->
+        let fs =
+          typed_lint
+            "module Dvs = struct type table = Table of string end\n\
+             module Telemetry = struct let event (s : string) = ignore s end\n\
+             let trace (t : Dvs.table) =\n\
+            \  match t with Dvs.Table s -> Telemetry.event s\n"
+        in
+        let f = find_rule "typed-secret-flow" fs in
+        check Alcotest.string "key is fn>sink" "trace>Telemetry.event"
+          f.Finding.key);
   ]
 
 let pool_stub =

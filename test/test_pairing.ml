@@ -216,6 +216,26 @@ let property_tests =
         Tate.gt_equal
           (Tate.gt_mul prm (Tate.gt_pow prm e a) (Tate.gt_pow prm e b))
           (Tate.gt_pow prm e (Nat.rem (Nat.add a b) prm.Params.q)));
+    qcheck ~count:25 "gt_pow_table agrees with gt_pow" gen_scalar (fun k ->
+        let e = Tate.pairing prm g (Hash_g1.hash_to_point prm "comb") in
+        Tate.gt_equal (Tate.gt_pow_table prm (Tate.gt_table prm e) k)
+          (Tate.gt_pow prm e k));
+    case "gt_pow_table at the ends of its range" (fun () ->
+        let e = Tate.pairing prm g g in
+        let t = Tate.gt_table prm e in
+        let qm1 = Nat.sub prm.Params.q Nat.one in
+        List.iter
+          (fun k ->
+            check gt (Nat.to_hex k) (Tate.gt_pow prm e k)
+              (Tate.gt_pow_table prm t k))
+          [ Nat.zero; Nat.one; Nat.two; qm1 ];
+        check gt "k = 0 is one" Tate.gt_one (Tate.gt_pow_table prm t Nat.zero);
+        Alcotest.check_raises "wider than q"
+          (Invalid_argument "Tate.gt_pow_table: exponent exceeds the table's range")
+          (fun () ->
+            ignore
+              (Tate.gt_pow_table prm t
+                 (Nat.shift_left Nat.one (Nat.bit_length prm.Params.q)))));
   ]
 
 (* Fixed-base precomputation: replayed line tables against the live

@@ -393,4 +393,129 @@ let dynamic_tests =
         check Alcotest.int "nothing allocated or sampled" 0 huge.D.sampled);
   ]
 
-let suite = block_tests @ signer_tests @ server_tests @ dynamic_tests
+(* Signing reads Σ off the owner's designation tables instead of
+   forming V and pairing it.  The reference is the path the paper
+   describes — Ibs.sign, then Dvs.designate for each verifier — with
+   its nonces drawn from a DRBG of the same seed, and the outputs must
+   agree bit for bit. *)
+let designation_tests =
+  let open Util in
+  let module Ibs = Sc_ibc.Ibs in
+  let module Dvs = Sc_ibc.Dvs in
+  let module Tate = Sc_pairing.Tate in
+  let module D = Dynamic in
+  let small_system =
+    lazy
+      (Seccloud.System.create ~params:Sc_pairing.Params.small
+         ~seed:"designation-small" ~cs_ids:[ "cs-1" ] ~da_id:"da" ())
+  in
+  let encode pub u cs da =
+    let prm = pub.Sc_ibc.Setup.prm in
+    Sc_ec.Curve.to_bytes prm.Sc_pairing.Params.curve u
+    ^ Tate.gt_to_bytes prm cs ^ Tate.gt_to_bytes prm da
+  in
+  let reference pub key ~bytes_source msg =
+    let raw = Ibs.sign pub key ~bytes_source msg in
+    let sigma verifier = (Dvs.designate pub raw ~verifier).Dvs.sigma in
+    encode pub raw.Ibs.u (sigma "cs-1") (sigma "da")
+  in
+  let per_params name system =
+    [
+      case (name ^ ": sign_file matches Ibs.sign + Dvs.designate") (fun () ->
+          let system = Lazy.force system in
+          let pub = Seccloud.System.public system in
+          let key = Seccloud.System.register_user system "alice" in
+          let seed = "designate-file:" ^ name in
+          let upload =
+            Signer.sign_file pub key ~bytes_source:(fresh_bs seed) ~cs_id:"cs-1"
+              ~da_id:"da" ~file:"doc"
+              (List.init 6 (Printf.sprintf "block-%d"))
+          in
+          let ref_bs = fresh_bs seed in
+          Array.iter
+            (fun (sb : Signer.signed_block) ->
+              check Alcotest.string "signed block"
+                (reference pub key ~bytes_source:ref_bs
+                   (Block.signing_message sb.Signer.block))
+                (encode pub sb.Signer.u sb.Signer.sigma_cs sb.Signer.sigma_da))
+            upload.Signer.blocks);
+      case (name ^ ": Dynamic init and batch entries match the reference")
+        (fun () ->
+          let system = Lazy.force system in
+          let pub = Seccloud.System.public system in
+          let key = Seccloud.System.register_user system "alice" in
+          let seed = "designate-dyn:" ^ name and file = "dyn" in
+          let payloads = List.init 5 (Printf.sprintf "payload-%d") in
+          let client, server =
+            D.init pub key ~bytes_source:(fresh_bs seed) ~cs_id:"cs-1" ~da_id:"da"
+              ~file payloads
+          in
+          let ops =
+            [
+              D.Update { index = 2; payload = "u" };
+              D.Append { payload = "a" };
+              D.Delete { index = 4 };
+              D.Update { index = 2; payload = "v" };
+            ]
+          in
+          check Alcotest.bool "batch applied" true
+            (D.batch client server ops = Ok (List.length ops));
+          (* The reference signs the same messages in the same order:
+             the initial blocks, then one entry per operation. *)
+          let ref_bs = fresh_bs seed in
+          let data ~index ~version payload =
+            reference pub key ~bytes_source:ref_bs
+              (D.signing_message ~file ~index ~version ~payload)
+          in
+          let expected = Array.of_list (List.mapi (fun index p -> data ~index ~version:0 p) payloads) in
+          let expected = Array.append expected [| "" |] in
+          expected.(2) <- data ~index:2 ~version:1 "u";
+          expected.(5) <- data ~index:5 ~version:0 "a";
+          expected.(4) <-
+            reference pub key ~bytes_source:ref_bs
+              (Sc_hash.Encode.canonical [ "dblock"; file; "4"; "1"; "gone"; "" ]);
+          expected.(2) <- data ~index:2 ~version:2 "v";
+          Array.iteri
+            (fun index want ->
+              let rp = Option.get (D.read server index) in
+              check Alcotest.string
+                (Printf.sprintf "entry %d" index)
+                want
+                (encode pub rp.D.u rp.D.sigma_cs rp.D.sigma_da))
+            expected);
+    ]
+  in
+  per_params "toy" Util.shared_system
+  @ per_params "small" small_system
+  @ [
+      case "signing pairings: 2 per sign_file at any size, 0 per Dynamic.batch"
+        (fun () ->
+          let pairings f =
+            let before = Tate.pairings_performed () in
+            ignore (f ());
+            Tate.pairings_performed () - before
+          in
+          let sign n =
+            pairings (fun () ->
+                Signer.sign_file pub alice ~bytes_source:bs ~cs_id:"cs-1"
+                  ~da_id:"da" ~file:"counted"
+                  (List.init n (Printf.sprintf "b%d")))
+          in
+          check Alcotest.int "1 block" 2 (sign 1);
+          check Alcotest.int "32 blocks" 2 (sign 32);
+          let client, server =
+            D.init pub alice ~bytes_source:bs ~cs_id:"cs-1" ~da_id:"da"
+              ~file:"counted-dyn"
+              (List.init 8 (Printf.sprintf "p%d"))
+          in
+          check Alcotest.int "batch of 8" 0
+            (pairings (fun () ->
+                 D.batch client server
+                   (List.init 8 (fun i ->
+                        if i mod 3 = 2 then D.Append { payload = "x" }
+                        else if i mod 3 = 1 then D.Delete { index = i }
+                        else D.Update { index = i; payload = "y" })))));
+    ]
+
+let suite =
+  block_tests @ signer_tests @ server_tests @ dynamic_tests @ designation_tests

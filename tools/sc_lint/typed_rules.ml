@@ -91,7 +91,7 @@ let string_like ty =
 
 (* Types whose values are secrets wherever they appear. *)
 let secret_type_names =
-  SSet.of_list [ "Setup.sio"; "Setup.identity_key"; "Drbg.t" ]
+  SSet.of_list [ "Setup.sio"; "Setup.identity_key"; "Drbg.t"; "Dvs.table" ]
 
 let rec secret_ty ~current ty depth =
   if depth > 3 then None
